@@ -57,7 +57,9 @@ void ClearinghouseClient::call_attempt(std::uint16_t method, Bytes args,
       dst, method, args,
       [this, method, args, on_done = std::move(on_done), policy, tries_left,
        dst](net::RpcResult result) mutable {
-        if (result.ok || tries_left <= 1) {
+        // A node that is closing fails its calls; failing over would only
+        // re-arm it.
+        if (result.ok || tries_left <= 1 || rpc_.closed()) {
           if (on_done) on_done(std::move(result));
           return;
         }

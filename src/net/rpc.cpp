@@ -1,5 +1,6 @@
 #include "net/rpc.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -9,29 +10,80 @@
 
 namespace phish::net {
 
+namespace {
+
+// Gates the calling thread is inside right now (a handler may drain an
+// in-process network and re-enter the same node); close() does not wait
+// for its own thread.
+thread_local std::vector<const void*> t_inside;
+
+}  // namespace
+
+template <class Fn>
+void RpcNode::enter(std::shared_ptr<Gate> gate, Fn&& fn) {
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    if (!gate->open) return;
+    ++gate->active;
+  }
+  struct Leave {
+    Gate& gate;
+    ~Leave() {
+      t_inside.pop_back();
+      {
+        std::lock_guard<std::mutex> lock(gate.mutex);
+        --gate.active;
+      }
+      gate.idle.notify_all();
+    }
+  } leave{*gate};
+  t_inside.push_back(gate.get());
+  fn();
+}
+
 RpcNode::RpcNode(Channel& channel, TimerService& timers,
                  std::size_t reply_cache_capacity)
     : channel_(channel),
       timers_(timers),
       reply_cache_capacity_(reply_cache_capacity),
       next_request_id_(mix64(channel.id().value) | 1) {
-  channel_.set_receiver([this](Message&& m) { on_message(std::move(m)); });
+  channel_.set_receiver([this, gate = gate_](Message&& m) {
+    enter(gate, [&] { on_message(std::move(m)); });
+  });
 }
 
-RpcNode::~RpcNode() {
+RpcNode::~RpcNode() { close(); }
+
+void RpcNode::close() {
   channel_.set_receiver({});
+  {
+    std::unique_lock<std::mutex> lock(gate_->mutex);
+    gate_->open = false;
+    const auto own = static_cast<int>(
+        std::count(t_inside.begin(), t_inside.end(), gate_.get()));
+    gate_->idle.wait(lock, [&] { return gate_->active == own; });
+  }
   std::vector<PendingCall> orphans;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) return;
+    closed_ = true;
     for (auto& [id, call] : pending_) {
       timers_.cancel(call.timer);
       orphans.push_back(std::move(call));
     }
     pending_.clear();
   }
+  // Completions run with every object they captured still alive: the owner
+  // called close() before destroying them (or this is the destructor).
   for (auto& call : orphans) {
     if (call.on_done) call.on_done(RpcResult{false, {}});
   }
+}
+
+bool RpcNode::closed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return closed_;
 }
 
 void RpcNode::serve(std::uint16_t method, MethodHandler handler) {
@@ -41,7 +93,12 @@ void RpcNode::serve(std::uint16_t method, MethodHandler handler) {
 
 void RpcNode::call(NodeId dst, std::uint16_t method, Bytes args,
                    Completion on_done, RetryPolicy policy) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (closed_) {
+    lock.unlock();
+    if (on_done) on_done(RpcResult{false, {}});
+    return;
+  }
   const std::uint64_t request_id = next_request_id_++;
   PendingCall call;
   call.dst = dst;
@@ -55,10 +112,17 @@ void RpcNode::call(NodeId dst, std::uint16_t method, Bytes args,
   ++stats_.calls_started;
   it->second.sent_ns = timers_.now_ns();
   transmit(request_id, it->second);
-  it->second.timer = timers_.schedule(
-      jitter_locked(it->second.current_timeout_ns, policy.jitter, request_id,
-                    /*attempt=*/1),
-      [this, request_id] { on_timeout(request_id); });
+  schedule_timeout_locked(request_id, it->second);
+}
+
+void RpcNode::schedule_timeout_locked(std::uint64_t request_id,
+                                      PendingCall& call) {
+  call.timer = timers_.schedule(
+      jitter_locked(call.current_timeout_ns, call.policy.jitter, request_id,
+                    call.attempts),
+      [this, gate = gate_, request_id] {
+        enter(gate, [&] { on_timeout(request_id); });
+      });
 }
 
 void RpcNode::send_oneway(NodeId dst, std::uint16_t type, Bytes payload) {
@@ -73,6 +137,12 @@ void RpcNode::send_oneway(NodeId dst, std::uint16_t type, Bytes payload) {
 void RpcNode::set_oneway_handler(OnewayHandler handler) {
   std::lock_guard<std::mutex> lock(mutex_);
   oneway_handler_ = std::move(handler);
+}
+
+void RpcNode::set_late_reply_handler(std::uint16_t method,
+                                     LateReplyHandler handler) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  late_handlers_[method] = std::move(handler);
 }
 
 RpcStats RpcNode::stats() const {
@@ -207,37 +277,55 @@ void RpcNode::handle_reply(Message&& message) {
     return;
   }
   Completion on_done;
+  LateReplyHandler late;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;  // late duplicate reply
-    timers_.cancel(it->second.timer);
-    // Karn's rule: a retransmitted call's reply is ambiguous (it may answer
-    // any earlier transmit), so only first-attempt replies feed the
-    // estimator.
-    if (it->second.attempts == 1) {
-      const std::uint64_t now = timers_.now_ns();
-      if (now >= it->second.sent_ns) {
-        const double r = static_cast<double>(now - it->second.sent_ns);
-        RttEstimate& est = rtt_[message.src];
-        if (!est.valid) {
-          est.valid = true;
-          est.srtt_ns = r;
-          est.rttvar_ns = r / 2.0;
-        } else {
-          const double err = r - est.srtt_ns;
-          est.srtt_ns += err / 8.0;
-          est.rttvar_ns += (std::abs(err) - est.rttvar_ns) / 4.0;
-        }
-        ++est.samples;
-        ++stats_.rtt_samples;
+    if (it == pending_.end()) {
+      // A duplicate of a reply already taken, or the answer to a call that
+      // failed by retry exhaustion: the latter goes to the late-reply
+      // handler, once (erasing the id drops every later duplicate).
+      auto expired = expired_.find(request_id);
+      if (expired == expired_.end()) return;
+      late = late_handlers_[expired->second];
+      expired_.erase(expired);
+      ++stats_.late_replies;
+    } else {
+      timers_.cancel(it->second.timer);
+      // Karn's rule: a retransmitted call's reply is ambiguous (it may
+      // answer any earlier transmit), so only first-attempt replies feed the
+      // estimator.
+      if (it->second.attempts == 1) {
+        note_rtt_sample_locked(message.src, it->second.sent_ns);
       }
+      on_done = std::move(it->second.on_done);
+      pending_.erase(it);
+      ++stats_.calls_succeeded;
     }
-    on_done = std::move(it->second.on_done);
-    pending_.erase(it);
-    ++stats_.calls_succeeded;
   }
-  if (on_done) on_done(RpcResult{true, std::move(reply)});
+  if (late) {
+    late(message.src, std::move(reply));
+  } else if (on_done) {
+    on_done(RpcResult{true, std::move(reply)});
+  }
+}
+
+void RpcNode::note_rtt_sample_locked(NodeId peer, std::uint64_t sent_ns) {
+  const std::uint64_t now = timers_.now_ns();
+  if (now < sent_ns) return;
+  const double r = static_cast<double>(now - sent_ns);
+  RttEstimate& est = rtt_[peer];
+  if (!est.valid) {
+    est.valid = true;
+    est.srtt_ns = r;
+    est.rttvar_ns = r / 2.0;
+  } else {
+    const double err = r - est.srtt_ns;
+    est.srtt_ns += err / 8.0;
+    est.rttvar_ns += (std::abs(err) - est.rttvar_ns) / 4.0;
+  }
+  ++est.samples;
+  ++stats_.rtt_samples;
 }
 
 void RpcNode::transmit(std::uint64_t request_id, const PendingCall& call) {
@@ -258,6 +346,14 @@ void RpcNode::on_timeout(std::uint64_t request_id) {
     if (it == pending_.end()) return;
     PendingCall& call = it->second;
     if (call.attempts >= call.policy.max_attempts) {
+      if (late_handlers_.count(call.method) != 0) {
+        expired_.emplace(request_id, call.method);
+        expired_order_.push_back(request_id);
+        while (expired_order_.size() > reply_cache_capacity_) {
+          expired_.erase(expired_order_.front());
+          expired_order_.pop_front();
+        }
+      }
       on_done = std::move(call.on_done);
       pending_.erase(it);
       ++stats_.calls_failed;
@@ -268,10 +364,7 @@ void RpcNode::on_timeout(std::uint64_t request_id) {
           static_cast<double>(call.current_timeout_ns) * call.policy.backoff);
       call.sent_ns = timers_.now_ns();
       transmit(request_id, call);
-      call.timer = timers_.schedule(
-          jitter_locked(call.current_timeout_ns, call.policy.jitter,
-                        request_id, call.attempts),
-          [this, request_id] { on_timeout(request_id); });
+      schedule_timeout_locked(request_id, call);
     }
   }
   if (on_done) on_done(RpcResult{false, {}});

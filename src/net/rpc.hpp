@@ -16,13 +16,22 @@
 //   * send_oneway()/set_oneway_handler() — raw datagrams for traffic that has
 //               application-level reliability (argument sends are made
 //               idempotent by closure slot fill-flags instead).
+//   * set_late_reply_handler() — opt-in, per method: the first reply to a
+//               call that already failed by retry exhaustion is handed over
+//               instead of dropped (a steal the victim served late still
+//               carries a closure nobody else will run).
 //
 // Thread-safety: safe for concurrent use (the UDP runtime calls in from
 // receiver and timer threads); no lock is held while user callbacks run.
+// close() (and the destructor) waits out callbacks already running on other
+// threads, and callbacks dequeued after it find the node shut, so an owner
+// may destroy what its handlers touch right after close() returns.
 #pragma once
 
+#include <condition_variable>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -76,6 +85,7 @@ struct RpcStats {
   std::uint64_t retransmissions = 0;
   std::uint64_t duplicate_requests = 0;  // served from the reply cache
   std::uint64_t rtt_samples = 0;  // replies accepted into an estimator
+  std::uint64_t late_replies = 0;  // handed to a late-reply handler
 };
 
 class RpcNode {
@@ -83,6 +93,7 @@ class RpcNode {
   using MethodHandler = std::function<Bytes(NodeId src, const Bytes& args)>;
   using OnewayHandler = std::function<void(Message&&)>;
   using Completion = std::function<void(RpcResult)>;
+  using LateReplyHandler = std::function<void(NodeId src, Bytes reply)>;
 
   RpcNode(Channel& channel, TimerService& timers,
           std::size_t reply_cache_capacity = 1024);
@@ -106,6 +117,22 @@ class RpcNode {
 
   /// Handler for incoming non-RPC datagrams.
   void set_oneway_handler(OnewayHandler handler);
+
+  /// Hand replies that arrive after a `method` call failed by retry
+  /// exhaustion to `handler` (on the receiving thread) instead of dropping
+  /// them: the first copy per request id only, so the duplicates a reply
+  /// cache sends for every retransmit are ignored.  Only calls of a method
+  /// with a handler are remembered (bounded FIFO, the reply cache's
+  /// capacity); calls that fail because the node closes are not.
+  void set_late_reply_handler(std::uint16_t method, LateReplyHandler handler);
+
+  /// Shut the node down: stop hearing the channel and the timers, wait for
+  /// callbacks already running on other threads to return, then fail every
+  /// pending call.  A call() after close fails at once, its completion run
+  /// inline, so a completion that retries cannot re-arm a dying node.
+  /// Idempotent; the destructor calls it.
+  void close();
+  bool closed() const;
 
   RpcStats stats() const;
 
@@ -157,11 +184,27 @@ class RpcNode {
     Bytes reply;
   };
 
+  /// Entry gate for callbacks from channel and timer threads.  It lives
+  /// outside the node (each callback holds a reference), so a callback
+  /// dequeued just before close() finds the gate shut instead of a
+  /// destroyed node.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable idle;
+    bool open = true;
+    int active = 0;  // callbacks inside the node right now
+  };
+  /// Run fn() iff the gate is open, counted active while it runs.
+  template <class Fn>
+  static void enter(std::shared_ptr<Gate> gate, Fn&& fn);
+
   void on_message(Message&& message);
   void handle_request(Message&& message);
   void handle_reply(Message&& message);
+  void note_rtt_sample_locked(NodeId peer, std::uint64_t sent_ns);
   void transmit(std::uint64_t request_id, const PendingCall& call);
   void on_timeout(std::uint64_t request_id);
+  void schedule_timeout_locked(std::uint64_t request_id, PendingCall& call);
   void send_reply(NodeId dst, std::uint64_t request_id, const Bytes& reply);
   /// First timeout for a call to `dst`: adaptive RTO when a sample exists,
   /// the policy's cold-start otherwise, plus deterministic jitter.
@@ -175,6 +218,7 @@ class RpcNode {
   const std::size_t reply_cache_capacity_;
   obs::TraceShard* trace_ = nullptr;
   const obs::Clock* trace_clock_ = nullptr;
+  const std::shared_ptr<Gate> gate_ = std::make_shared<Gate>();
 
   mutable std::mutex mutex_;
   std::unordered_map<std::uint16_t, MethodHandler> methods_;
@@ -184,8 +228,14 @@ class RpcNode {
   // Reply cache per peer, bounded FIFO.
   std::unordered_map<NodeId, std::deque<CachedReply>> reply_cache_;
   std::unordered_map<NodeId, RttEstimate> rtt_;
+  std::unordered_map<std::uint16_t, LateReplyHandler> late_handlers_;
+  // Calls that failed by retry exhaustion while their method had a late-reply
+  // handler: request id -> method, with insertion order for the bound.
+  std::unordered_map<std::uint64_t, std::uint16_t> expired_;
+  std::deque<std::uint64_t> expired_order_;
   std::uint64_t jitter_seed_ = 0;
   bool paused_ = false;
+  bool closed_ = false;
   RpcStats stats_;
 };
 

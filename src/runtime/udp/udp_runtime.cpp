@@ -88,7 +88,7 @@ UdpWorker::UdpWorker(net::UdpNetwork& network, net::TimerService& timers,
     // drain would fork ownership.
     if (request && !stop_.load(std::memory_order_acquire) &&
         !departing_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(mutex_);
+      const auto lock = service_lock();
       reply.tasks = core_.try_steal_batch(request->thief, request->max_tasks);
     }
     return reply.encode();
@@ -99,11 +99,22 @@ UdpWorker::UdpWorker(net::UdpNetwork& network, net::TimerService& timers,
   rpc_.serve(proto::kRpcMigrate, [this](net::NodeId, const Bytes& args) {
     return serve_migrate(args);
   });
+  // A victim that serves a steal after the thief's retry budget ran out
+  // records the theft in its ledger and sends the closures anyway; the
+  // thief is alive, so no redo will ever run them.  Adopt them instead.
+  rpc_.set_late_reply_handler(
+      proto::kRpcSteal,
+      [this](net::NodeId, Bytes reply) { adopt_late_steal(reply); });
 }
 
 UdpWorker::~UdpWorker() {
   request_stop();
   join();
+  // Fail what is still in flight (the unregister, a membership refresh)
+  // while every member its completions touch is alive, and wait out the
+  // receiver and timer threads: members die in reverse order, so core_ and
+  // client_ would go before rpc_ fails its calls.
+  rpc_.close();
 }
 
 void UdpWorker::set_root(TaskId task, std::vector<Value> args) {
@@ -181,7 +192,7 @@ void UdpWorker::join() {
 }
 
 WorkerStats UdpWorker::stats_snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  const auto lock = service_lock();
   return core_.stats();
 }
 
@@ -233,14 +244,14 @@ bool UdpWorker::do_register() {
               // Rejoin with a prior view: the reply is a delta against it.
               auto update = proto::MembershipUpdate::decode(result.reply);
               if (update) {
-                std::lock_guard<std::mutex> self_lock(mutex_);
+                const auto self_lock = service_lock();
                 apply_membership_update_locked(*update);
                 ok = true;
               }
             } else {
               auto membership = proto::Membership::decode(result.reply);
               if (membership) {
-                std::lock_guard<std::mutex> self_lock(mutex_);
+                const auto self_lock = service_lock();
                 known_epoch_ = membership->epoch;
                 peers_.clear();
                 for (net::NodeId p : membership->participants) {
@@ -328,7 +339,14 @@ void UdpWorker::run_loop() {
     {
       // Bounded batch per lock hold, as in the threads runtime, so the
       // receiver thread can serve steals and deliver arguments in between.
+      // The bound alone does not let it in: std::mutex is not fair, and a
+      // loop that re-locks at once wins nearly every time (a steal request
+      // once waited 244 ms, the whole job).  So hand the lock over: while
+      // another thread waits in service_lock(), yield before re-taking it.
       constexpr int kBatch = 8;
+      while (lock_waiters_.load(std::memory_order_acquire) > 0) {
+        std::this_thread::yield();
+      }
       std::lock_guard<std::mutex> lock(mutex_);
       for (int i = 0; i < kBatch; ++i) {
         auto task = core_.pop_for_execution();
@@ -397,7 +415,7 @@ bool UdpWorker::attempt_steal() {
         if (result.ok) {
           auto reply = proto::StealReply::decode(result.reply);
           if (reply && !reply->tasks.empty()) {
-            std::lock_guard<std::mutex> self_lock(mutex_);
+            const auto self_lock = service_lock();
             for (Closure& c : reply->tasks) {
               core_.install_stolen(std::move(c));
             }
@@ -428,7 +446,7 @@ void UdpWorker::handle_message(net::Message&& message) {
       auto arg = proto::ArgumentMsg::decode(message.payload);
       if (!arg) return;
       {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = service_lock();
         if (departed_.load(std::memory_order_acquire)) {
           // Pure stub (the thread exited after a graceful departure): every
           // fill follows the cargo.  Logged so a kReroute can replay it at
@@ -465,7 +483,7 @@ void UdpWorker::handle_message(net::Message&& message) {
       auto migrate = proto::MigrateMsg::decode(message.payload);
       if (!migrate) return;
       {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = service_lock();
         if (forward_to_.valid()) {
           rpc_.send_oneway(forward_to_, proto::kMigrate, message.payload);
           return;
@@ -492,7 +510,7 @@ Bytes UdpWorker::handle_control(const Bytes& args) {
     case proto::ControlMsg::kDeadNotice: {
       if (msg->who == me_) break;  // our own previous incarnation
       {
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = service_lock();
         ever_died_.insert(msg->who.value);
         peers_.erase(std::remove(peers_.begin(), peers_.end(), msg->who),
                      peers_.end());
@@ -516,7 +534,7 @@ Bytes UdpWorker::handle_control(const Bytes& args) {
       // holder died: re-target the forwarding stub and replay every fill
       // logged since the drain — the old holder took the already-forwarded
       // ones to its grave.
-      std::lock_guard<std::mutex> lock(mutex_);
+      const auto lock = service_lock();
       forward_to_ = msg->who;
       flushed_fills_ = 0;
       flush_fill_log_locked();
@@ -527,7 +545,7 @@ Bytes UdpWorker::handle_control(const Bytes& args) {
       // the cargo or re-snapshotted it with all fills applied).  Once no
       // migration of ours remains outstanding, no kReroute can ever replay
       // the fill log: release it instead of retaining it forever.
-      std::lock_guard<std::mutex> lock(mutex_);
+      const auto lock = service_lock();
       outstanding_migrations_.erase(msg->view);
       if (outstanding_migrations_.empty()) {
         fill_log_.clear();
@@ -553,7 +571,7 @@ Bytes UdpWorker::serve_migrate(const Bytes& args) {
     return reply.take();
   }
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const auto lock = service_lock();
     if (m->migration_id != 0 &&
         !seen_migrations_.insert(m->migration_id).second) {
       // Duplicate delivery (retransmitted handoff racing a coordinator
@@ -613,8 +631,9 @@ bool UdpWorker::perform_evict() {
   // Loop until a drain comes up empty: fills arriving mid-handshake are
   // buffered in the fill log (see handle_message), not the core, and steals
   // and inbound migrations are refused while departing_ — the only refill
-  // source is a kDeadNotice re-enqueueing redo snapshots, so rounds are
-  // bounded by peer deaths during the handshake.  The cap below is a
+  // sources are a kDeadNotice re-enqueueing redo snapshots and a steal reply
+  // adopted late (adopt_late_steal), so rounds are bounded by peer deaths
+  // and our own expired steals during the handshake.  The cap below is a
   // churn-storm backstop, not the expected exit.
   constexpr int kMaxRounds = 8;
   for (int round = 0;; ++round) {
@@ -824,13 +843,13 @@ void UdpWorker::refresh_membership() {
         if (since > 0) {
           auto update = proto::MembershipUpdate::decode(result.reply);
           if (!update) return;
-          std::lock_guard<std::mutex> lock(mutex_);
+          const auto lock = service_lock();
           apply_membership_update_locked(*update);
           return;
         }
         auto membership = proto::Membership::decode(result.reply);
         if (!membership) return;
-        std::lock_guard<std::mutex> lock(mutex_);
+        const auto lock = service_lock();
         known_epoch_ = membership->epoch;
         peers_.clear();
         for (net::NodeId p : membership->participants) {
@@ -843,6 +862,43 @@ void UdpWorker::refresh_membership() {
 std::optional<net::NodeId> UdpWorker::pick_peer() {
   if (peers_.empty()) return std::nullopt;
   return peers_[rng_.below(peers_.size())];
+}
+
+std::unique_lock<std::mutex> UdpWorker::service_lock() const {
+  lock_waiters_.fetch_add(1, std::memory_order_acq_rel);
+  std::unique_lock<std::mutex> lock(mutex_);
+  lock_waiters_.fetch_sub(1, std::memory_order_acq_rel);
+  return lock;
+}
+
+void UdpWorker::adopt_late_steal(const Bytes& bytes) {
+  auto reply = proto::StealReply::decode(bytes);
+  if (!reply || reply->tasks.empty()) return;
+  {
+    const auto lock = service_lock();
+    if (departed_.load(std::memory_order_acquire)) {
+      // A stub (the thread exited after a graceful departure): the closures
+      // follow the forwarding stub to the cargo's holder, as post-drain
+      // fills do.  With no successor the departure was a noisy one: we skip
+      // the unregister, the failure detector declares us dead, and the
+      // victim's ledger redoes the theft.
+      if (forward_to_.valid()) {
+        proto::MigrateMsg msg;
+        msg.from = me_;
+        msg.closures = std::move(reply->tasks);
+        rpc_.send_oneway(forward_to_, proto::kMigrate, msg.encode());
+      }
+      return;
+    }
+    // Everyone else installs.  A running worker runs them.  A departing one
+    // (handshake in flight) ships them with the cargo: perform_evict only
+    // departs on a drain that comes up empty, under this same mutex.  A
+    // later incarnation (rpc_ outlives lives) runs its previous life's late
+    // steal: after a graceful departure nothing else would, and after a
+    // crash the victim may also redo it, which duplicate fills absorb.
+    for (Closure& c : reply->tasks) core_.install_stolen(std::move(c));
+  }
+  wake_cv_.notify_all();
 }
 
 // ---- UdpJob. ----
@@ -1003,6 +1059,10 @@ UdpJobResult UdpJob::run(TaskId root, std::vector<Value> args) {
   for (auto& w : workers) w->join();
   clearinghouse.stop();
   if (backup != nullptr) backup->stop();
+  // Each Clearinghouse dies before its RpcNode: fail their in-flight calls
+  // (whose completions capture the Clearinghouse) while both are alive.
+  ch_rpc.close();
+  if (backup_rpc != nullptr) backup_rpc->close();
 
   if (!finished) {
     throw std::runtime_error("udp runtime: job timed out after " +

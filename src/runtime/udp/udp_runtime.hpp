@@ -172,7 +172,14 @@ class UdpWorker {
   Bytes serve_migrate(const Bytes& args);
   void send_stats_and_unregister();
   void refresh_membership();
+  /// Adopt the closures of a steal reply that arrived after our call had
+  /// failed (RpcNode's late-reply hook; runs on the receiver thread).
+  void adopt_late_steal(const Bytes& reply);
   std::optional<net::NodeId> pick_peer();  // callers hold mutex_
+  /// mutex_ for every thread but the worker loop's own: counted in
+  /// lock_waiters_ until acquired, so run_loop hands the lock over between
+  /// execution batches instead of re-taking it at once.
+  std::unique_lock<std::mutex> service_lock() const;
   /// Apply a membership delta (or embedded full snapshot); holds mutex_.
   void apply_membership_update_locked(const proto::MembershipUpdate& update);
   /// Run the acked migration handshake on the worker thread and depart.
@@ -204,6 +211,7 @@ class UdpWorker {
   std::atomic<bool> killed_{false};
 
   mutable std::mutex mutex_;  // guards core_, peers_, rng_, forward_to_
+  mutable std::atomic<int> lock_waiters_{0};  // see service_lock()
   WorkerCore core_;
   std::vector<net::NodeId> peers_;
   /// Highest membership epoch applied; presented on register/update so the

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ch_client.hpp"
 #include "core/recovery.hpp"
 #include "net/sim_net.hpp"
 
@@ -703,6 +704,27 @@ TEST_F(ClearinghouseTest, MembershipChangeCallback) {
   w1.rpc.call(kCh, proto::kRpcUnregister, {}, [](net::RpcResult) {});
   sim_.run();
   EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 2, 1}));
+}
+
+TEST_F(ClearinghouseTest, ClientDoesNotFailOverOnAClosingNode) {
+  // Closing the node fails the call; failing over would rotate the ring
+  // and re-issue the call on the node that is shutting down.
+  net::RpcNode rpc(network_.channel(net::NodeId{7}), timers_);
+  ClearinghouseClient client(rpc, {net::NodeId{20}, net::NodeId{21}});
+  int completions = 0;
+  bool ok = true;
+  client.call(
+      proto::kRpcUpdate, {},
+      [&](net::RpcResult r) {
+        ++completions;
+        ok = r.ok;
+      },
+      net::RetryPolicy{});
+  rpc.close();
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(client.current(), net::NodeId{20})
+      << "the ring rotated past a replica that never failed us";
 }
 
 }  // namespace

@@ -307,6 +307,88 @@ TEST_F(RpcLoopTest, PausedClientDropsOutbound) {
   EXPECT_EQ(handler_runs, 0);
 }
 
+// A server that answers only after the caller has given up (a starved steal
+// handler): the caller's completion fails, and the reply — which may carry
+// state the server has already handed over — reaches the late-reply handler
+// exactly once, although the retransmit makes the server send it twice.
+TEST_F(RpcLoopTest, LateReplyReachesHandlerOnceAfterBudgetRunsOut) {
+  int handler_runs = 0;
+  server_.serve(1, [&](NodeId, const Bytes&) {
+    ++handler_runs;
+    return encode_u64(7);
+  });
+  std::vector<std::uint64_t> late;
+  client_.set_late_reply_handler(1, [&](NodeId src, Bytes reply) {
+    EXPECT_EQ(src, NodeId{1});
+    late.push_back(decode_u64(reply));
+  });
+  RetryPolicy policy;
+  policy.timeout_ns = 100;
+  policy.max_attempts = 2;
+  int completions = 0;
+  bool ok = true;
+  client_.call(NodeId{1}, 1, {},
+               [&](RpcResult r) {
+                 ++completions;
+                 ok = r.ok;
+               },
+               policy);
+  sim_.run();  // retransmit, then the budget runs out; nothing delivered yet
+  EXPECT_EQ(completions, 1);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(net_.in_flight(), 2u) << "the request and its retransmit";
+
+  net_.drain();  // handler runs once; the duplicate is answered from cache
+  EXPECT_EQ(handler_runs, 1);
+  EXPECT_EQ(server_.stats().duplicate_requests, 1u);
+  EXPECT_EQ(late, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(client_.stats().late_replies, 1u);
+  EXPECT_EQ(completions, 1) << "the completion never fires twice";
+}
+
+TEST_F(RpcLoopTest, LateReplyIsDroppedWithoutHandler) {
+  server_.serve(1, [](NodeId, const Bytes&) { return encode_u64(7); });
+  bool other_method_seen = false;
+  client_.set_late_reply_handler(
+      2, [&](NodeId, Bytes) { other_method_seen = true; });
+  RetryPolicy policy;
+  policy.timeout_ns = 100;
+  policy.max_attempts = 2;
+  int completions = 0;
+  client_.call(NodeId{1}, 1, {}, [&](RpcResult) { ++completions; }, policy);
+  sim_.run();
+  // Method 1 had no handler when its call expired, so the expiry was not
+  // recorded: a handler installed now never sees the reply.
+  bool late_seen = false;
+  client_.set_late_reply_handler(1, [&](NodeId, Bytes) { late_seen = true; });
+  net_.drain();
+  EXPECT_FALSE(late_seen);
+  EXPECT_FALSE(other_method_seen);
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(client_.stats().late_replies, 0u);
+  EXPECT_EQ(client_.stats().calls_failed, 1u);
+}
+
+TEST_F(RpcLoopTest, CloseFailsPendingCallsAndRefusesNewOnes) {
+  server_.serve(1, [](NodeId, const Bytes&) { return encode_u64(7); });
+  std::vector<bool> results;
+  client_.call(NodeId{1}, 1, {}, [&](RpcResult r) {
+    results.push_back(r.ok);
+    // A completion that retries (as a failover client does) must not
+    // re-arm the closing node: the retry fails at once.
+    client_.call(NodeId{1}, 1, {},
+                 [&](RpcResult again) { results.push_back(again.ok); });
+  });
+  client_.close();
+  EXPECT_TRUE(client_.closed());
+  EXPECT_EQ(results, (std::vector<bool>{false, false}));
+  net_.drain();  // the server still answers; a closed node hears nothing
+  EXPECT_EQ(results.size(), 2u);
+  EXPECT_EQ(client_.stats().calls_succeeded, 0u);
+  client_.close();  // idempotent
+  EXPECT_EQ(results.size(), 2u);
+}
+
 // Deterministic backoff jitter: the retransmit schedule is a pure function
 // of the jitter seed, so chaos replays reproduce byte-for-byte, while
 // different seeds decorrelate workers backing off from one loss burst.

@@ -345,7 +345,7 @@ RuntimeCellResult run_runtime_cell_udp(const SweepConfig& sweep,
   cfg.clearinghouse.detect_failures = true;
   cfg.clearinghouse.heartbeat_timeout_ns = 1'200'000'000ULL;
   cfg.clearinghouse.failure_check_period_ns = 250'000'000ULL;
-  cfg.heartbeat_period_ns = 100'000'000ULL;
+  cfg.worker.heartbeat_period = 100'000'000ULL;
   if (cell.primary_churn) {
     cfg.enable_backup = true;
     cfg.clearinghouse.replicate_period_ns = 100'000'000ULL;

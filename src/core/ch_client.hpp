@@ -36,7 +36,6 @@ class ClearinghouseClient {
   /// The highest coordinator view this client has adopted.
   std::uint64_t view() const;
   bool is_replica(net::NodeId n) const;
-  const std::vector<net::NodeId>& replicas() const { return replicas_; }
 
   /// Adopt `primary` as coordinator if `view` is newer than what we hold.
   /// Returns true when the current primary changed.

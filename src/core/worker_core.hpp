@@ -287,12 +287,6 @@ class WorkerCore {
   void adopt_migrant_ledger(net::NodeId thief, Closure snapshot,
                             bool thief_dead);
 
-  /// Entries currently in the steal ledger (cheap; drives the departing
-  /// worker's decision whether a migration round is needed at all).
-  std::size_t steal_ledger_size() const noexcept {
-    return steal_ledger_.size();
-  }
-
   /// A participant died: re-enqueue snapshots of every task it stole from us
   /// (redo), and abort tasks we stole from it that are still queued (their
   /// results could never be claimed).  Returns number of tasks re-enqueued.
@@ -317,13 +311,6 @@ class WorkerCore {
     stolen_in_.clear();
     refresh_exec_slow_path_();
     last_charge_ = 0;
-  }
-
-  /// Fresh core standing in for a later incarnation of a node id (the UDP
-  /// runtime rebuilds the worker object on rejoin): start the id band at
-  /// `base` so ids cannot collide with the previous incarnation's.
-  void set_seq_base(std::uint64_t base) {
-    if (base > next_seq_) next_seq_ = base;
   }
 
   // ---- Checkpointing (paper §6 future work). ----

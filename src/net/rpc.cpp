@@ -125,6 +125,12 @@ void RpcNode::schedule_timeout_locked(std::uint64_t request_id,
       });
 }
 
+TimerToken RpcNode::schedule(std::uint64_t delay_ns, std::function<void()> fn) {
+  return timers_.schedule(delay_ns, [gate = gate_, fn = std::move(fn)] {
+    enter(gate, fn);
+  });
+}
+
 void RpcNode::send_oneway(NodeId dst, std::uint16_t type, Bytes payload) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -142,7 +148,8 @@ void RpcNode::set_oneway_handler(OnewayHandler handler) {
 void RpcNode::set_late_reply_handler(std::uint16_t method,
                                      LateReplyHandler handler) {
   std::lock_guard<std::mutex> lock(mutex_);
-  late_handlers_[method] = std::move(handler);
+  late_method_ = method;
+  late_handler_ = std::move(handler);
 }
 
 RpcStats RpcNode::stats() const {
@@ -287,7 +294,7 @@ void RpcNode::handle_reply(Message&& message) {
       // handler, once (erasing the id drops every later duplicate).
       auto expired = expired_.find(request_id);
       if (expired == expired_.end()) return;
-      late = late_handlers_[expired->second];
+      if (expired->second == late_method_) late = late_handler_;
       expired_.erase(expired);
       ++stats_.late_replies;
     } else {
@@ -346,7 +353,7 @@ void RpcNode::on_timeout(std::uint64_t request_id) {
     if (it == pending_.end()) return;
     PendingCall& call = it->second;
     if (call.attempts >= call.policy.max_attempts) {
-      if (late_handlers_.count(call.method) != 0) {
+      if (late_handler_ && call.method == late_method_) {
         expired_.emplace(request_id, call.method);
         expired_order_.push_back(request_id);
         while (expired_order_.size() > reply_cache_capacity_) {

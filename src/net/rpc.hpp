@@ -112,6 +112,13 @@ class RpcNode {
   void call(NodeId dst, std::uint16_t method, Bytes args, Completion on_done,
             RetryPolicy policy = {});
 
+  /// Run `fn` once, `delay_ns` from now, behind the same gate as the node's
+  /// other callbacks: close() waits it out if it is running, and it never
+  /// runs after.
+  TimerToken schedule(std::uint64_t delay_ns, std::function<void()> fn);
+  void cancel(TimerToken token) { timers_.cancel(token); }
+  std::uint64_t now_ns() const { return timers_.now_ns(); }
+
   /// Raw datagram with an application message type (< kRpcTypeBase).
   void send_oneway(NodeId dst, std::uint16_t type, Bytes payload);
 
@@ -123,7 +130,8 @@ class RpcNode {
   /// them: the first copy per request id only, so the duplicates a reply
   /// cache sends for every retransmit are ignored.  Only calls of a method
   /// with a handler are remembered (bounded FIFO, the reply cache's
-  /// capacity); calls that fail because the node closes are not.
+  /// capacity); calls that fail because the node closes are not.  One
+  /// method at a time: a later call replaces the method and its handler.
   void set_late_reply_handler(std::uint16_t method, LateReplyHandler handler);
 
   /// Shut the node down: stop hearing the channel and the timers, wait for
@@ -228,7 +236,8 @@ class RpcNode {
   // Reply cache per peer, bounded FIFO.
   std::unordered_map<NodeId, std::deque<CachedReply>> reply_cache_;
   std::unordered_map<NodeId, RttEstimate> rtt_;
-  std::unordered_map<std::uint16_t, LateReplyHandler> late_handlers_;
+  std::uint16_t late_method_ = 0;
+  LateReplyHandler late_handler_;  // for calls of late_method_
   // Calls that failed by retry exhaustion while their method had a late-reply
   // handler: request id -> method, with insertion order for the bound.
   std::unordered_map<std::uint64_t, std::uint16_t> expired_;

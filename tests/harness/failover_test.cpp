@@ -130,6 +130,38 @@ TEST(SimdistFailover, DeathNoticeSurvivesDropHeavyLinks) {
   EXPECT_EQ(cluster.clearinghouse().declared_dead().size(), 1u);
 }
 
+TEST(SimdistFailover, LateStealReplyIsAdopted) {
+  // A victim (node 1) serves steals normally, but its messages 3..7 to the
+  // thief (node 2) take an extra second: past the thief's whole retry
+  // budget (an adaptive RTO from ~5 ms, 5 attempts).  The victim ledgered
+  // each theft and the thief is alive, so nobody would redo the closure a
+  // late reply carries: the thief must adopt it, or the job never ends.
+  net::FaultPlan plan;
+  net::LinkRule slow;
+  slow.src = net::NodeId{1};
+  slow.dst = net::NodeId{2};
+  slow.first_seq = 3;
+  slow.last_seq = 7;
+  slow.delay = 1.0;
+  slow.extra_delay_ns = sim::kSecond;
+  plan.links.push_back(slow);
+
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/10);
+  rt::SimJobConfig cfg;
+  cfg.participants = 2;
+  cfg.max_sim_time = 200 * sim::kSecond;
+  rt::SimCluster cluster(reg, cfg);
+  cluster.apply_fault_plan(plan);
+  const auto result = cluster.run(root, {Value(std::int64_t{30})});
+
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(30));
+  EXPECT_GE(cluster.worker(1).rpc_stats().late_replies, 1u)
+      << "vacuous: no steal reply arrived after its call gave up";
+  EXPECT_EQ(result.aggregate.tasks_stolen_by_me,
+            result.aggregate.tasks_stolen_from_me);
+}
+
 TEST(SimdistFailover, SeededFailoverSweepCaseReplays) {
   // The generator's failover categories replay bit-for-bit too.
   const ChaosCase c{ChaosRuntime::kSimdist, "pfold", 5021, 0,

@@ -227,7 +227,7 @@ ChaosOutcome run_udp(const ChaosCase& c) {
   cfg.fault_plan = o.plan;
   // Real sockets + injected loss both ways per RPC attempt: twelve attempts
   // make an exhausted call astronomically unlikely (~(0.24)^12).
-  cfg.rpc_policy = {30'000'000, 12, 1.5};
+  cfg.worker.rpc_policy = {30'000'000, 12, 1.5};
   cfg.clearinghouse.detect_failures = false;
   cfg.timeout_seconds = 60.0;
 

@@ -75,12 +75,36 @@ TEST(UdpRuntime, SurvivesControlMessageLoss) {
   EXPECT_EQ(result.value.as_int(), apps::fib_serial(24));
 }
 
+TEST(UdpRuntime, RegistrationRetriesUntilTheCoordinatorAnswers) {
+  // The first 48 datagrams from the only worker to the Clearinghouse (the
+  // register requests of its first twelve attempts) are lost.  The worker
+  // retries with capped backoff for as long as it takes: giving up would
+  // leave the job without its root.
+  TaskRegistry reg;
+  const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/10);
+  UdpJobConfig cfg = config_for(1);
+  cfg.worker.rpc_policy = {5'000'000, 2, 1.0};
+  cfg.worker.register_backoff = 1'000'000;
+  cfg.worker.register_backoff_max = 4'000'000;
+  net::LinkRule lost;
+  lost.src = net::NodeId{1};
+  lost.dst = net::NodeId{0};
+  lost.last_seq = 48;
+  lost.drop = 1.0;
+  cfg.fault_plan.emplace();
+  cfg.fault_plan->links.push_back(lost);
+  cfg.timeout_seconds = 20.0;
+  UdpJob job(reg, cfg);
+  const auto result = job.run(root, {Value(std::int64_t{20})});
+  EXPECT_EQ(result.value.as_int(), apps::fib_serial(20));
+}
+
 TEST(UdpRuntime, ThievesExitWhenParallelismShrinks) {
   TaskRegistry reg;
   const TaskId root = apps::register_fib(reg, /*sequential_cutoff=*/40);
   UdpJobConfig cfg = config_for(3);
-  cfg.max_failed_steals = 6;
-  cfg.steal_retry_ns = 2'000'000;
+  cfg.worker.max_failed_steals = 6;
+  cfg.worker.steal_retry_delay = 2'000'000;
   UdpJob job(reg, cfg);
   // One big serial task: the other two workers must give up.
   const auto result = job.run(root, {Value(std::int64_t{31})});
